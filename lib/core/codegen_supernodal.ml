@@ -10,17 +10,6 @@ open Sympiler_kernels
    baked in as static data. Numeric inputs (Ax) and outputs (Lx) remain the
    only runtime parameters. *)
 
-let emit_int_array buf name (arr : int array) =
-  Buffer.add_string buf
-    (Printf.sprintf "static const int %s[%d] = {" name (Array.length arr));
-  Array.iteri
-    (fun i v ->
-      if i > 0 then Buffer.add_string buf ",";
-      if i mod 16 = 0 then Buffer.add_string buf "\n  ";
-      Buffer.add_string buf (string_of_int v))
-    arr;
-  Buffer.add_string buf "\n};\n"
-
 let to_c (c : Cholesky_supernodal.Sympiler.compiled) (a_lower : Csc.t) : string
     =
   let an = c.Cholesky_supernodal.Sympiler.an in
@@ -52,17 +41,20 @@ let to_c (c : Cholesky_supernodal.Sympiler.compiled) (a_lower : Csc.t) : string
   Buffer.add_string buf
     "/* cholesky_supernodal: generated by Sympiler for a fixed sparsity\n\
     \   structure; all symbolic information is static data. */\n";
-  emit_int_array buf "Ap" a_lower.Csc.colptr;
-  emit_int_array buf "Ai" a_lower.Csc.rowind;
-  emit_int_array buf "Lp" an.Cholesky_supernodal.l_colptr;
-  emit_int_array buf "Li" an.Cholesky_supernodal.l_rowind;
-  emit_int_array buf "snPtr" sn.Sympiler_symbolic.Supernodes.sn_ptr;
-  emit_int_array buf "snBelow" an.Cholesky_supernodal.nb;
-  emit_int_array buf "schedPtr" sched_ptr;
-  emit_int_array buf "updD" upd_d;
-  emit_int_array buf "updFirst" upd_first;
-  emit_int_array buf "updT" upd_t;
-  emit_int_array buf "updM" upd_m;
+  C_table.emit buf
+    [
+      ("Ap", a_lower.Csc.colptr);
+      ("Ai", a_lower.Csc.rowind);
+      ("Lp", an.Cholesky_supernodal.l_colptr);
+      ("Li", an.Cholesky_supernodal.l_rowind);
+      ("snPtr", sn.Sympiler_symbolic.Supernodes.sn_ptr);
+      ("snBelow", an.Cholesky_supernodal.nb);
+      ("schedPtr", sched_ptr);
+      ("updD", upd_d);
+      ("updFirst", upd_first);
+      ("updT", upd_t);
+      ("updM", upd_m);
+    ];
   Buffer.add_string buf
     (Printf.sprintf "\n#define N %d\n#define NSUPER %d\n\n" an.Cholesky_supernodal.n
        nsuper);

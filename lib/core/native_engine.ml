@@ -71,12 +71,15 @@ let strip_vector_hints source =
   |> List.map (replace_all ~sub:"restrict " ~by:"")
   |> String.concat "\n"
 
+(* Storage of [max 1 n] elements, so the kernel always gets a valid
+   pointer, seen through a view of the logical size [n]: the blits below
+   check lengths against that. *)
 let make_buf n =
   let b =
     Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout (max 1 n)
   in
   Bigarray.Array1.fill b 0.0;
-  b
+  Bigarray.Array1.sub b 0 n
 
 let load ~mode ~pattern_key ~family ~kname ~nargs ~int_return ~sizes source =
   let source, cflags =
@@ -101,25 +104,25 @@ let load ~mode ~pattern_key ~family ~kname ~nargs ~int_return ~sizes source =
   | None -> None
   | Some nk ->
       let slot i =
-        if i < Array.length sizes && sizes.(i) > 0 then make_buf sizes.(i)
-        else Native.dummy
+        if i < Array.length sizes then make_buf sizes.(i) else Native.dummy
       in
       Some { nk; b0 = slot 0; b1 = slot 1; b2 = slot 2; b3 = slot 3 }
 
 let call e = Native.call e.nk e.b0 e.b1 e.b2 e.b3
 
-(* One length check up front, then unsafe element ops: the loops stay
-   allocation-free and can never run past either side's storage. *)
+(* One exact length check up front, then unsafe element ops: the loops
+   stay allocation-free and can never run past either side's storage. A
+   shorter source would leave the previous call's values in the tail. *)
 let blit_in (src : float array) (dst : buf) =
-  if Array.length src > Bigarray.Array1.dim dst then
-    invalid_arg "Native_engine.blit_in: source longer than buffer";
+  if Array.length src <> Bigarray.Array1.dim dst then
+    invalid_arg "Native_engine.blit_in: source length differs from buffer";
   for i = 0 to Array.length src - 1 do
     Bigarray.Array1.unsafe_set dst i (Array.unsafe_get src i)
   done
 
 let blit_out (src : buf) (dst : float array) =
-  if Array.length dst > Bigarray.Array1.dim src then
-    invalid_arg "Native_engine.blit_out: destination longer than buffer";
+  if Array.length dst <> Bigarray.Array1.dim src then
+    invalid_arg "Native_engine.blit_out: destination length differs from buffer";
   for i = 0 to Array.length dst - 1 do
     Array.unsafe_set dst i (Bigarray.Array1.unsafe_get src i)
   done

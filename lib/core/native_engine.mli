@@ -25,7 +25,7 @@ type exec = {
   b2 : buf;
   b3 : buf;
 }
-(** A loaded kernel plus its plan-owned argument buffers (unused slots
+(** A loaded kernel plus its plan-owned argument buffers (slots past [sizes]
     alias {!Native.dummy}). *)
 
 val wrapper : kname:string -> nargs:int -> int_return:bool -> string
@@ -52,7 +52,9 @@ val load :
 (** Wrap [source], compile/load it keyed by [pattern_key] + [family] (the
     source text, flags, and compiler identity are folded in by
     {!Native.load}), and allocate one zeroed buffer per entry of [sizes]
-    (at most 4; missing or zero entries get the shared dummy). [None]
+    (at most 4; slots past [sizes] get the shared dummy). A buffer's
+    dimension is its entry of [sizes] (its storage holds at least one
+    element, so the kernel's pointer is always valid). [None]
     means the native engine is unavailable — callers fall back to the
     OCaml executor. *)
 
@@ -61,11 +63,12 @@ val call : exec -> int
     [>= 0] = failing pivot index). Allocation-free. *)
 
 val blit_in : float array -> buf -> unit
-(** Copy an OCaml float array into a buffer (lengths must match the
-    buffer's size prefix; allocation-free). *)
+(** Copy an OCaml float array into a buffer. Raises [Invalid_argument]
+    unless the lengths are equal (allocation-free). *)
 
 val blit_out : buf -> float array -> unit
-(** Copy a buffer back into an OCaml float array. *)
+(** Copy a buffer back into an OCaml float array of the same length
+    ([Invalid_argument] otherwise; allocation-free). *)
 
 val fill0 : buf -> unit
 (** Zero a buffer (allocation-free). *)

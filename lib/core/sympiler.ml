@@ -540,6 +540,9 @@ module Cholesky = struct
     variant : variant;
     supernodal : Cholesky_supernodal.Sympiler.compiled option;
     simplicial : Cholesky_ref.Decoupled.compiled option;
+    fill : Sympiler_symbolic.Fill_pattern.t option;
+        (* simplicial handles: the analysis compiled from, reused by the
+           C emission *)
     pattern : Csc.t; (* lower(A) pattern compiled against (permuted) *)
     natural_pattern : Csc.t; (* caller's lower(A) before any ordering *)
     symbolic_seconds : float;
@@ -612,7 +615,7 @@ module Cholesky = struct
     Trace.with_span "compile.cholesky"
       ~attrs:[ ("n", Trace.Int a_lower.Csc.ncols) ]
     @@ fun () ->
-    let (sup, simp, flops, nnz_l, decisions), symbolic_seconds =
+    let (sup, simp, fill, flops, nnz_l, decisions), symbolic_seconds =
       time_symbolic (fun () ->
           (* One shared symbolic factorization; the variant decision (the
              paper's VS-Block threshold) is taken on the cheap supernode
@@ -673,10 +676,10 @@ module Cholesky = struct
               Cholesky_supernodal.Sympiler.compile ~fill ?max_width
                 ~specialized a_lower
             in
-            (Some c, None, flops, nnz_l, decisions)
+            (Some c, None, None, flops, nnz_l, decisions)
           else
             let d = Cholesky_ref.Decoupled.compile ~fill a_lower in
-            (None, Some d, flops, nnz_l, decisions))
+            (None, Some d, Some fill, flops, nnz_l, decisions))
     in
     let variant = if sup = None then Simplicial else variant in
     observe_compile ~family:"cholesky" ~ordering:ord.o_name
@@ -685,6 +688,7 @@ module Cholesky = struct
       variant;
       supernodal = sup;
       simplicial = simp;
+      fill;
       pattern = a_lower;
       natural_pattern = a_natural;
       symbolic_seconds = symbolic_seconds +. ord_seconds;
@@ -798,26 +802,29 @@ module Cholesky = struct
            escalated pattern, -1 = structural zero *)
   }
 
+  (* Generated C source: the supernodal driver with baked-in schedule, or
+     the fully specialized simplicial kernel from the AST pipeline. *)
+  let c_code (t : t) : string =
+    match t.supernodal with
+    | Some c -> Codegen_supernodal.to_c c t.pattern
+    | None ->
+        (Sympiler_ir.Pipeline.cholesky ?fill:t.fill t.pattern)
+          .Sympiler_ir.Pipeline.c_code
+
   (* Both emitted variants fully (re)write Lx each call — the supernodal
      driver zeroes its panels, the simplicial kernel assigns every entry
      from the self-restoring f — so only Ax needs refreshing per call. *)
   let native_exec (mode : Native_engine.mode) (t : t) :
       Native_engine.exec option =
-    let n = t.pattern.Csc.ncols in
-    let kname, source, fsize =
+    let kname, nargs, fsize =
       match t.supernodal with
-      | Some c -> ("cholesky_supernodal", Codegen_supernodal.to_c c t.pattern, 0)
-      | None ->
-          ( "cholesky",
-            (Sympiler_ir.Pipeline.cholesky t.pattern).Sympiler_ir.Pipeline
-            .c_code,
-            n )
+      | Some _ -> ("cholesky_supernodal", 2, 0)
+      | None -> ("cholesky", 3, t.pattern.Csc.ncols)
     in
-    let nargs = if fsize > 0 then 3 else 2 in
     Native_engine.load ~mode ~pattern_key:(Csc.pattern_hash t.pattern)
       ~family:"cholesky" ~kname ~nargs ~int_return:false
       ~sizes:[| Csc.nnz t.pattern; t.nnz_l; fsize |]
-      source
+      (c_code t)
 
   (* [~ndomains] on a supernodal handle: levelize the already-compiled
      supernode DAG (plan-time inspection, no re-analysis) and run levels
@@ -1122,14 +1129,6 @@ module Cholesky = struct
     | Some p ->
         let pb = Perm.apply_vec p b in
         Perm.apply_inv_vec p (Cholesky_ref.solve_with_factor l pb)
-
-  (* Generated C source: the supernodal driver with baked-in schedule, or
-     the fully specialized simplicial kernel from the AST pipeline. *)
-  let c_code (t : t) : string =
-    match t.supernodal with
-    | Some c -> Codegen_supernodal.to_c c t.pattern
-    | None ->
-        (Sympiler_ir.Pipeline.cholesky t.pattern).Sympiler_ir.Pipeline.c_code
 end
 
 (* The four §3.3 families below share one shape: a handle wrapping the

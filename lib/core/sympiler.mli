@@ -314,6 +314,11 @@ module Cholesky : sig
     variant : variant;  (** what [compile] actually chose *)
     supernodal : Cholesky_supernodal.Sympiler.compiled option;
     simplicial : Cholesky_ref.Decoupled.compiled option;
+    fill : Sympiler_symbolic.Fill_pattern.t option;
+        (** the symbolic analysis a simplicial handle was compiled from,
+            reused by its C emission ({!c_code}, native plans) so no
+            emission re-analyzes the pattern; [None] on supernodal
+            handles *)
     pattern : Csc.t;  (** the pattern compiled against (permuted if
                           ordered) *)
     natural_pattern : Csc.t;  (** the caller's lower(A) before ordering *)

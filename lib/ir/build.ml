@@ -62,8 +62,8 @@ let lower_trisolve (l : Csc.t) : kernel =
          Lx[p] = f[Li[p]] / Lx[Lp[j]]
          f[Li[p]] = 0
 *)
-let lower_cholesky (a_lower : Csc.t) : kernel =
-  let fill = Sympiler_symbolic.Fill_pattern.analyze a_lower in
+let lower_cholesky ~(fill : Sympiler_symbolic.Fill_pattern.t) (a_lower : Csc.t)
+    : kernel =
   let n = fill.Sympiler_symbolic.Fill_pattern.n in
   let lp = fill.Sympiler_symbolic.Fill_pattern.l_pattern.Csc.colptr in
   let li = fill.Sympiler_symbolic.Fill_pattern.l_pattern.Csc.rowind in

@@ -10,9 +10,11 @@ val lower_trisolve : Csc.t -> Ast.kernel
     VS-Block sites. Parameters: [Lx] (factor values), [x] (b in, solution
     out). *)
 
-val lower_cholesky : Csc.t -> Ast.kernel
+val lower_cholesky :
+  fill:Sympiler_symbolic.Fill_pattern.t -> Csc.t -> Ast.kernel
 (** Left-looking sparse Cholesky (the pseudo-code of the paper's Figure 4)
     with VI-Prune already applied, as in the paper's Figure 7 baseline:
     the update loop iterates the precomputed prune-sets, and every entry
     position (including [rowPos], the position of L(j,r) in column r) is
-    baked in. Parameters: [Ax], [Lx] (out), [f] (zeroed workspace). *)
+    baked in. [fill] is the symbolic analysis of [a_lower]'s pattern.
+    Parameters: [Ax], [Lx] (out), [f] (zeroed workspace). *)

@@ -151,10 +151,13 @@ let trisolve ?(vs_block = true) ?(vi_prune = true) ?(low_level = true)
 
 (* Cholesky: the lowered code is already VI-Pruned (prune-sets baked in by
    [Build.lower_cholesky], matching the paper's Figure 7 baseline); the
-   low-level stage applies scalar replacement and distribution. *)
-let cholesky ?(low_level = true) (a_lower : Csc.t) : result =
+   low-level stage applies scalar replacement and distribution. [fill]
+   reuses an analysis of [a_lower] the caller already holds. *)
+let cholesky ?(low_level = true) ?fill (a_lower : Csc.t) : result =
   Trace.with_span "pipeline.cholesky" @@ fun () ->
-  let fill = Fill_pattern.analyze a_lower in
+  let fill =
+    match fill with Some f -> f | None -> Fill_pattern.analyze a_lower
+  in
   let insp = Inspector.cholesky_vi_prune fill in
   (* The baked-in prune-sets iterate nnz(L) - n row entries instead of the
      dense n*(n-1)/2 candidate updates of the unpruned loop nest. *)
@@ -168,7 +171,9 @@ let cholesky ?(low_level = true) (a_lower : Csc.t) : result =
       value = pruned_ratio ~n:dense_updates (Fill_pattern.nnz_l fill - n);
       threshold = 0.0;
     };
-  let kernel = pass "codegen:lower" (fun () -> Build.lower_cholesky a_lower) in
+  let kernel =
+    pass "codegen:lower" (fun () -> Build.lower_cholesky ~fill a_lower)
+  in
   let kernel =
     if low_level then pass "codegen:low-level" (fun () -> Lowlevel.apply kernel)
     else kernel

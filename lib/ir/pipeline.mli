@@ -27,10 +27,13 @@ val trisolve :
     transformation layers (defaults: all three, VS-Block before VI-Prune as
     §4.2 prefers). *)
 
-val cholesky : ?low_level:bool -> Csc.t -> result
+val cholesky :
+  ?low_level:bool -> ?fill:Sympiler_symbolic.Fill_pattern.t -> Csc.t -> result
 (** The left-looking Cholesky kernel, VI-Pruned at lowering (the paper's
     Figure 7 baseline); the low-level stage applies distribution, scalar
-    replacement and constant propagation. *)
+    replacement and constant propagation. [fill] is the symbolic analysis
+    of the same pattern when the caller already holds it (otherwise the
+    pattern is analyzed here). *)
 
 val run_trisolve : result -> Csc.t -> Vector.sparse -> float array
 (** Interpreter-backed execution (tests/examples). *)

@@ -1,9 +1,10 @@
 open Ast
 
 (* C code generation: the final lowering stage. Compile-time constant
-   arrays (matrix pattern, inspection sets) are emitted as static data, so
-   the generated file is self-contained, specialized to one sparsity
-   structure, and its function manipulates numeric values only. *)
+   arrays (matrix pattern, inspection sets) are emitted as static tables
+   decoded at load time ([C_table]), so the generated file is
+   self-contained, specialized to one sparsity structure, and its function
+   manipulates numeric values only. *)
 
 let binop_str = function Add -> "+" | Sub -> "-" | Mul -> "*" | Div -> "/"
 
@@ -105,16 +106,6 @@ let ty_str = function
   | Int_array -> "int *"
   | Float_array -> "double *"
 
-let const_array buf (name, arr) =
-  Buffer.add_string buf (Printf.sprintf "static const int %s[%d] = {" name (Array.length arr));
-  Array.iteri
-    (fun i v ->
-      if i > 0 then Buffer.add_string buf ",";
-      if i mod 16 = 0 then Buffer.add_string buf "\n  ";
-      Buffer.add_string buf (string_of_int v))
-    arr;
-  Buffer.add_string buf "\n};\n"
-
 (* Emit the kernel as a self-contained C translation unit. *)
 let kernel_to_c (k : kernel) : string =
   let buf = Buffer.create 4096 in
@@ -122,7 +113,7 @@ let kernel_to_c (k : kernel) : string =
   Buffer.add_string buf
     (Printf.sprintf "/* %s: generated by Sympiler for a fixed sparsity structure. */\n"
        k.kname);
-  List.iter (const_array buf) k.consts;
+  Sympiler_sparse.C_table.emit buf k.consts;
   Buffer.add_char buf '\n';
   (* Pointer parameters are [restrict]: the executor never aliases two
      buffers of one kernel, and telling the C compiler so is what lets

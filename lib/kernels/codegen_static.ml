@@ -9,22 +9,10 @@ open Sympiler_sparse
    [factor_ip_body] line by line; pivot failures return the failing
    index, success returns -1. *)
 
-let emit_int_array buf name (a : int array) =
-  Printf.bprintf buf "static const int %s[%d] = {" name
-    (max 1 (Array.length a));
-  if Array.length a = 0 then Buffer.add_string buf "0"
-  else
-    Array.iteri
-      (fun i v ->
-        if i > 0 then Buffer.add_char buf ',';
-        Buffer.add_string buf (string_of_int v))
-      a;
-  Buffer.add_string buf "};\n"
-
 let emit_header buf kernel n =
   Printf.bprintf buf
     "/* Sympiler-generated %s: numeric phase specialized to one sparsity\n\
-    \   structure (n = %d); all index arrays are compile-time constants. */\n"
+    \   structure (n = %d); all index arrays are static tables. */\n"
     kernel n;
   Printf.bprintf buf "#define N %d\n" n
 
@@ -34,13 +22,16 @@ let ldlt (c : Ldlt.compiled) : string =
   (* The compiled kernel already carries the prune-sets in flattened
      ptr/ind form; emit them as-is. *)
   let rp_ptr = c.Ldlt.rp_ptr and rp_ind = c.Ldlt.rp_ind in
-  emit_int_array buf "lp" c.Ldlt.l_colptr;
-  emit_int_array buf "li" c.Ldlt.l_rowind;
-  emit_int_array buf "up" c.Ldlt.up_colptr;
-  emit_int_array buf "ui" c.Ldlt.up_rowind;
-  emit_int_array buf "umap" c.Ldlt.up_map;
-  emit_int_array buf "rp_ptr" rp_ptr;
-  emit_int_array buf "rp_ind" rp_ind;
+  C_table.emit buf
+    [
+      ("lp", c.Ldlt.l_colptr);
+      ("li", c.Ldlt.l_rowind);
+      ("up", c.Ldlt.up_colptr);
+      ("ui", c.Ldlt.up_rowind);
+      ("umap", c.Ldlt.up_map);
+      ("rp_ptr", rp_ptr);
+      ("rp_ind", rp_ind);
+    ];
   Buffer.add_string buf
     {|static int nzcount[N > 0 ? N : 1];
 static double y[N > 0 ? N : 1];
@@ -83,12 +74,15 @@ let lu (c : Lu.Sympiler.compiled) (a : Csc.t) : string =
   let buf = Buffer.create 4096 in
   emit_header buf "LU factorization (Gilbert-Peierls, static pattern)"
     c.Lu.Sympiler.n;
-  emit_int_array buf "ap" a.Csc.colptr;
-  emit_int_array buf "ai" a.Csc.rowind;
-  emit_int_array buf "lp" c.Lu.Sympiler.l_colptr;
-  emit_int_array buf "li" c.Lu.Sympiler.l_rowind;
-  emit_int_array buf "up" c.Lu.Sympiler.u_colptr;
-  emit_int_array buf "ui" c.Lu.Sympiler.u_rowind;
+  C_table.emit buf
+    [
+      ("ap", a.Csc.colptr);
+      ("ai", a.Csc.rowind);
+      ("lp", c.Lu.Sympiler.l_colptr);
+      ("li", c.Lu.Sympiler.l_rowind);
+      ("up", c.Lu.Sympiler.u_colptr);
+      ("ui", c.Lu.Sympiler.u_rowind);
+    ];
   Buffer.add_string buf
     {|static double x[N > 0 ? N : 1];
 /* ax: values of A (CSC, the compiled pattern); lx/ux: values of L/U.
@@ -128,11 +122,14 @@ int lu_factor(const double *restrict ax, double *restrict lx,
 let ic0 (c : Ic0.compiled) : string =
   let buf = Buffer.create 4096 in
   emit_header buf "incomplete Cholesky IC(0)" c.Ic0.n;
-  emit_int_array buf "lp" c.Ic0.colptr;
-  emit_int_array buf "li" c.Ic0.rowind;
-  emit_int_array buf "rp" c.Ic0.row_ptr;
-  emit_int_array buf "rc" c.Ic0.row_col;
-  emit_int_array buf "rq" c.Ic0.row_pos;
+  C_table.emit buf
+    [
+      ("lp", c.Ic0.colptr);
+      ("li", c.Ic0.rowind);
+      ("rp", c.Ic0.row_ptr);
+      ("rc", c.Ic0.row_col);
+      ("rq", c.Ic0.row_pos);
+    ];
   Buffer.add_string buf
     {|#include <math.h>
 static int pos[N > 0 ? N : 1];
@@ -169,10 +166,13 @@ int ic0_factor(const double *restrict ax, double *restrict lx) {
 let ilu0 (c : Ilu0.compiled) : string =
   let buf = Buffer.create 4096 in
   emit_header buf "incomplete LU ILU(0)" c.Ilu0.n;
-  emit_int_array buf "rp" c.Ilu0.rowptr;
-  emit_int_array buf "ci" c.Ilu0.colind;
-  emit_int_array buf "dg" c.Ilu0.diag;
-  emit_int_array buf "cmap" c.Ilu0.csc_map;
+  C_table.emit buf
+    [
+      ("rp", c.Ilu0.rowptr);
+      ("ci", c.Ilu0.colind);
+      ("dg", c.Ilu0.diag);
+      ("cmap", c.Ilu0.csc_map);
+    ];
   Buffer.add_string buf
     {|static int pos[N > 0 ? N : 1];
 /* ax: values of A (CSC, the compiled pattern); v: CSR values of L\U.

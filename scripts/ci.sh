@@ -89,6 +89,20 @@ else
   echo "skipped: no cc"
 fi
 
+echo "== benchmark self-check =="
+# The repository benchmark (perfbench/, a dune project of its own that the
+# build above does not compile) must still build against the libraries,
+# run every workload correctly, and repeat its deterministic counts,
+# native.compiles included. It compiles C, so it needs the compiler.
+if [ "$have_cc" = "1" ]; then
+  python3 perfbench/selfcheck.py || {
+    echo "FAIL: perfbench/selfcheck.py" >&2
+    exit 1
+  }
+else
+  echo "skipped: no cc (SYMPILER_ALLOW_NO_CC=1 set; the benchmark compiles C)"
+fi
+
 echo "== tracing-disabled overhead gate =="
 # Structured tracing must be free when off: the trace bench section
 # measures the disabled begin/end pair cost and fails its verdict if the

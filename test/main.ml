@@ -17,6 +17,7 @@ let () =
       ("ordering-stage", Test_ordering.suite);
       ("pipeline", Test_pipeline.suite);
       ("native", Test_native.suite);
+      ("c-table", Test_c_table.suite);
       ("updown", Test_updown.suite);
       ("regressions", Test_regressions.suite);
     ]

@@ -321,9 +321,10 @@ let test_c_emission_structure () =
       Alcotest.(check bool) ("contains " ^ marker) true (contains_sub c marker))
     [
       "#include <math.h>";
-      "static const int pruneSet";
-      "static const int blockSet";
-      "static const int Lp";
+      "static int pruneSet[";
+      "static int blockSet[";
+      "static int Lp[";
+      "static void sympiler_tables_init(void) __attribute__((constructor));";
       "void trisolve(double *restrict Lx, double *restrict x";
       "#pragma GCC ivdep";
     ]
